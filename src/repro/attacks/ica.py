@@ -25,13 +25,63 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .base import Attack, AttackContext
 
 __all__ = ["fast_ica", "ICAAttack"]
 
 _QUANTILE_GRID = np.linspace(0.0, 1.0, 21)
+
+
+def _linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost perfect matching on a square cost matrix.
+
+    The Hungarian method in its shortest-augmenting-path form (row
+    potentials ``u``, column potentials ``v``): each row is inserted by a
+    Dijkstra-like search over reduced costs, and the scan over columns is
+    one numpy expression, so a ``d x d`` problem costs ``O(d^2)`` vector
+    steps and ``O(d^3)`` arithmetic.  Returns ``(rows, cols)`` with
+    ``rows == arange(d)`` and ``cost[rows, cols].sum()`` minimal -- the
+    contract of ``scipy.optimize.linear_sum_assignment`` for square input.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError("cost must be a square 2-D matrix")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost must be finite")
+    n = cost.shape[0]
+    # Index 0 is a virtual column that holds the row being inserted;
+    # real columns are 1..n.  owner[j] is the row matched to column j.
+    u = np.zeros(n)
+    v = np.zeros(n + 1)
+    owner = np.full(n + 1, -1)
+    for row in range(n):
+        owner[0] = row
+        min_slack = np.full(n + 1, np.inf)
+        via = np.zeros(n + 1, dtype=int)
+        used = np.zeros(n + 1, dtype=bool)
+        col = 0
+        while owner[col] != -1:
+            used[col] = True
+            i = owner[col]
+            slack = cost[i] - u[i] - v[1:]
+            better = ~used[1:] & (slack < min_slack[1:])
+            min_slack[1:][better] = slack[better]
+            via[1:][better] = col
+            candidates = np.where(used[1:], np.inf, min_slack[1:])
+            nxt = int(np.argmin(candidates)) + 1
+            delta = candidates[nxt - 1]
+            u[owner[used]] += delta
+            v[used] -= delta
+            min_slack[~used] -= delta
+            col = nxt
+        while col:  # flip the augmenting path back to the virtual column
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    cols = np.empty(n, dtype=int)
+    cols[owner[1:]] = np.arange(n)
+    return np.arange(n), cols
 
 
 def _symmetric_decorrelation(W: np.ndarray) -> np.ndarray:
@@ -140,7 +190,7 @@ class ICAAttack(Attack):
                             cost[c, j] = distance
                             best_sign[c, j] = -1.0
 
-        component_idx, column_idx = linear_sum_assignment(cost)
+        component_idx, column_idx = _linear_sum_assignment(cost)
         estimate = np.empty_like(context.perturbed)
         for c, j in zip(component_idx, column_idx):
             sign = best_sign[c, j]

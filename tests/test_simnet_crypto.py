@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.simnet import crypto
 from repro.simnet.crypto import Ciphertext, SessionKey, decrypt, derive_key, encrypt
 from repro.simnet.errors import TransportError
 
@@ -97,5 +98,46 @@ def test_ciphertext_len_accounts_for_all_parts(rng):
 
 def test_long_message_roundtrip(rng):
     key = derive_key("a", "b")
-    plaintext = bytes(range(256)) * 1000  # crosses many keystream blocks
+    plaintext = bytes(range(256)) * 1000
     assert decrypt(key, encrypt(key, plaintext, rng)) == plaintext
+
+
+def test_known_answer():
+    """Pins the wire bytes: a keystream or tag change must show up here."""
+    ciphertext = encrypt(
+        derive_key("alice", "bob"), bytes(range(64)), np.random.default_rng(0)
+    )
+    assert ciphertext.nonce.hex() == "5f82c2d9cfeb0fa321d7d982f8bd1045"
+    assert ciphertext.body.hex() == (
+        "ca3f0f4a01b85eb5ac48dc652d5539418a29e74cb6e220a46c72f72e8bf9ba84"
+        "9e0381b3531992d4387f2ba0cb6d45dd8d7d6047fb994095ec253b9d4a618fd5"
+    )
+    assert ciphertext.tag.hex() == (
+        "1acfc656eb97df707f28312c752631768253fab237bae70ea6d1257279ba0f6b"
+    )
+
+
+@pytest.mark.parametrize("short", [0, 1, 31, 32, 33, 4097])
+def test_keystream_is_prefix_stable(short):
+    key = derive_key("alice", "bob")
+    nonce = bytes(range(16))
+    assert crypto._keystream(key, nonce, short) == crypto._keystream(
+        key, nonce, 8192
+    )[:short]
+
+
+def test_tampered_tag_rejected_before_keystream(rng, monkeypatch):
+    key = derive_key("alice", "bob")
+    ciphertext = encrypt(key, b"attack at dawn", rng)
+    tampered = Ciphertext(
+        nonce=ciphertext.nonce,
+        body=ciphertext.body,
+        tag=bytes([ciphertext.tag[0] ^ 1]) + ciphertext.tag[1:],
+    )
+
+    def no_keystream(*args):
+        raise AssertionError("keystream computed before the tag verified")
+
+    monkeypatch.setattr(crypto, "_keystream", no_keystream)
+    with pytest.raises(TransportError):
+        decrypt(key, tampered)
